@@ -115,6 +115,27 @@ func (c *Conv2D) Run(x, w, bias *tensor.Tensor) *tensor.Tensor {
 // RunInto executes like Run but writes into dst, an NHWC
 // (N,OH,OW,OC) tensor of the epilogue's output dtype that must not
 // alias any operand. A nil dst allocates. It returns the destination.
+//
+// The body is a register-blocked implicit GEMM over M = N·OH·OW output
+// pixels, N = OC and K = KH·KW·IC. Each parallelRows chunk (whole
+// output rows, so a pixel block never spans two chunks) walks its
+// pixels in blocks of 4. Per filter row, the taps all four pixels have
+// in bounds form one contiguous K-run, which a 4-pixel × 4-OC
+// micro-kernel consumes: 16 float32 accumulators fed by 4 activation
+// and 4 weight values per K step (kRun.tile4x4 explains the register
+// split). Taps only some of a block's pixels have in bounds, and the
+// pixels of a short block at the end of a chunk, take a 1-pixel × 4-OC
+// path; OC%4 leftover channels take a scalar path.
+//
+// Accumulation-order contract: every output accumulates its products
+// in (kh, kw, ic) ascending order from +0, skipping out-of-bounds
+// taps, one float32 `sum += x*w` step at a time (no math.FMA), exactly
+// as a direct convolution loop does. The blocking only changes which
+// outputs advance together, never the order of one output's sum, so
+// the result is bit-identical to the direct loop whatever the tile
+// path, the chunk partition or GOMAXPROCS. That is what keeps planned
+// vs unplanned, batched vs unbatched and fleet vs server execution
+// bit-identical.
 func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	s := c.Shape
 	xs, ws := x.Shape(), w.Shape()
@@ -144,55 +165,9 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 			out.NumElements(), s.N, oh, ow, s.OC))
 	}
 	xd, wd, od := x.Data(), w.Data(), out.Data()
-	quant := c.Epilogue.OutDType == tensor.FP16
 
-	rows := s.N * oh
-	parallelRows(rows, func(r0, r1 int) {
-		accp := getAcc(s.OC)
-		defer putAcc(accp)
-		acc := *accp
-		for r := r0; r < r1; r++ {
-			in := r / oh
-			io := r % oh
-			for jo := 0; jo < ow; jo++ {
-				for k := range acc {
-					acc[k] = 0
-				}
-				for kh := 0; kh < s.KH; kh++ {
-					ih := io*s.StrideH - s.PadH + kh
-					if ih < 0 || ih >= s.H {
-						continue
-					}
-					for kw := 0; kw < s.KW; kw++ {
-						iw := jo*s.StrideW - s.PadW + kw
-						if iw < 0 || iw >= s.W {
-							continue
-						}
-						xoff := ((in*s.H+ih)*s.W + iw) * s.IC
-						for oc := 0; oc < s.OC; oc++ {
-							woff := ((oc*s.KH+kh)*s.KW + kw) * s.IC
-							sum := acc[oc]
-							for ic := 0; ic < s.IC; ic++ {
-								sum += xd[xoff+ic] * wd[woff+ic]
-							}
-							acc[oc] = sum
-						}
-					}
-				}
-				ooff := ((in*oh+io)*ow + jo) * s.OC
-				for oc := 0; oc < s.OC; oc++ {
-					var cv float32
-					if bd != nil {
-						cv = bd[oc]
-					}
-					v := c.Epilogue.apply(acc[oc], cv)
-					if quant {
-						v = fp16.ToFloat32(fp16.FromFloat32(v))
-					}
-					od[ooff+oc] = v
-				}
-			}
-		}
+	parallelRows(s.N*oh, func(r0, r1 int) {
+		c.convPixels(od, xd, wd, bd, r0*ow, r1*ow)
 	})
 	// INT8 outputs are quantized dynamically with a serial max-abs scan
 	// (see Gemm.run) so the result is partitioning-independent.
@@ -200,6 +175,189 @@ func (c *Conv2D) RunInto(dst *tensor.Tensor, x, w, bias *tensor.Tensor) *tensor.
 		out.CalibrateScale()
 	}
 	return out
+}
+
+// convBlock is the pixel-block height of the micro-kernel.
+const convBlock = 4
+
+// convPixels computes output pixels [p0, p1) of the flattened
+// N·OH·OW dimension, block by block (see RunInto).
+//
+// Along one filter row kh, a pixel's in-bounds taps form one kw
+// interval, and kw-adjacent taps sit IC apart in both the NHWC
+// activation and the OHWI weights, so the interval is a single
+// contiguous K-run in (kw, ic) accumulation order. The taps all four
+// pixels of a block share go through tile4x4; each pixel's extra
+// leading and trailing taps go through tile1x4 before and after them.
+func (c *Conv2D) convPixels(od, xd, wd, bd []float32, p0, p1 int) {
+	s := c.Shape
+	oh, ow := s.OutH(), s.OutW()
+	ic, oc := s.IC, s.OC
+	k := kRun{xd: xd, wd: wd, ic: ic, kStride: s.KH * s.KW * ic, ocBlocks: oc - oc%4}
+	quant := c.Epilogue.OutDType == tensor.FP16
+
+	accp := getAcc(convBlock * oc)
+	defer putAcc(accp)
+	acc := *accp // pixel q of the block owns acc[q*oc : (q+1)*oc]
+
+	var (
+		xbase, ih0, iw0 [convBlock]int // per-pixel image offset and top-left tap
+		xrow            [convBlock]int // per-pixel activation offset of (kh, kw=0)
+		lo, hi          [convBlock]int // per-pixel in-bounds kw interval of row kh
+	)
+	for pb := p0; pb < p1; pb += convBlock {
+		np := min(convBlock, p1-pb)
+		for q := 0; q < np; q++ {
+			p := pb + q
+			n, rem := p/(oh*ow), p%(oh*ow)
+			xbase[q] = n * s.H * s.W * ic
+			ih0[q] = (rem/ow)*s.StrideH - s.PadH
+			iw0[q] = (rem%ow)*s.StrideW - s.PadW
+		}
+		clear(acc[:np*oc])
+		for kh := 0; kh < s.KH; kh++ {
+			wrow := kh * s.KW * ic
+			shared0, shared1 := 0, s.KW // kw interval every pixel has in bounds
+			for q := 0; q < np; q++ {
+				ih := ih0[q] + kh
+				lo[q], hi[q] = max(0, -iw0[q]), min(s.KW, s.W-iw0[q])
+				xrow[q] = xbase[q] + (ih*s.W+iw0[q])*ic
+				if ih < 0 || ih >= s.H || lo[q] >= hi[q] {
+					lo[q], hi[q], xrow[q] = 0, 0, 0
+				}
+				shared0, shared1 = max(shared0, lo[q]), min(shared1, hi[q])
+			}
+			if np < convBlock || shared0 >= shared1 {
+				for q := 0; q < np; q++ {
+					k.tile1x4(acc[q*oc:(q+1)*oc], xrow[q], wrow, lo[q], hi[q])
+				}
+			} else {
+				for q := 0; q < np; q++ {
+					k.tile1x4(acc[q*oc:(q+1)*oc], xrow[q], wrow, lo[q], shared0)
+				}
+				k.tile4x4(acc, oc, &xrow, wrow, shared0, shared1)
+				for q := 0; q < np; q++ {
+					k.tile1x4(acc[q*oc:(q+1)*oc], xrow[q], wrow, shared1, hi[q])
+				}
+			}
+			for q := 0; q < np; q++ {
+				k.scalar(acc[q*oc:(q+1)*oc], xrow[q], wrow, lo[q], hi[q])
+			}
+		}
+		for q := 0; q < np; q++ {
+			orow := od[(pb+q)*oc : (pb+q+1)*oc]
+			for o, a := range acc[q*oc : (q+1)*oc] {
+				var cv float32
+				if bd != nil {
+					cv = bd[o]
+				}
+				v := c.Epilogue.apply(a, cv)
+				if quant {
+					v = fp16.ToFloat32(fp16.FromFloat32(v))
+				}
+				orow[o] = v
+			}
+		}
+	}
+}
+
+// kRun addresses the K-runs of one convolution: taps [kw0, kw1) of
+// one filter row, whose activations start at xd[x+kw0*IC] and whose
+// weights for output channel o start at wd[o*kStride+w+kw0*IC].
+type kRun struct {
+	xd, wd      []float32
+	ic, kStride int
+	ocBlocks    int // OC rounded down to a multiple of 4
+}
+
+// tile4x4 adds the four pixels' products over taps [kw0, kw1) to
+// acc[q*ldc+o] for every OC block. Each 4×4 tile runs as two 4×2
+// halves: 8 accumulators plus 4 activation and 2 weight values fit
+// the 15 float registers Go allocates on amd64, where one pass over
+// all 16 accumulators spills them to the stack on every K step.
+func (k *kRun) tile4x4(acc []float32, ldc int, x *[convBlock]int, w, kw0, kw1 int) {
+	a, b, ws := kw0*k.ic, kw1*k.ic, k.kStride
+	x0, x1 := k.xd[x[0]+a:x[0]+b], k.xd[x[1]+a:x[1]+b]
+	x2, x3 := k.xd[x[2]+a:x[2]+b], k.xd[x[3]+a:x[3]+b]
+	for o := 0; o < k.ocBlocks; o += 4 {
+		w0 := o*ws + w
+		dot4x2(acc[o:], ldc, x0, x1, x2, x3, k.wd[w0+a:w0+b], k.wd[w0+ws+a:w0+ws+b])
+		dot4x2(acc[o+2:], ldc, x0, x1, x2, x3, k.wd[w0+2*ws+a:w0+2*ws+b], k.wd[w0+3*ws+a:w0+3*ws+b])
+	}
+}
+
+// tile1x4 adds one pixel's products over taps [kw0, kw1) to acc[o]
+// for o < ocBlocks.
+func (k *kRun) tile1x4(acc []float32, x, w, kw0, kw1 int) {
+	if kw0 >= kw1 {
+		return
+	}
+	a, b, ws := kw0*k.ic, kw1*k.ic, k.kStride
+	xs := k.xd[x+a : x+b]
+	for o := 0; o < k.ocBlocks; o += 4 {
+		w0 := o*ws + w
+		dot1x4(acc[o:o+4], xs, k.wd[w0+a:w0+b], k.wd[w0+ws+a:w0+ws+b],
+			k.wd[w0+2*ws+a:w0+2*ws+b], k.wd[w0+3*ws+a:w0+3*ws+b])
+	}
+}
+
+// scalar adds one pixel's products over taps [kw0, kw1) to the OC%4
+// leftover channels, acc[o] for o >= ocBlocks.
+func (k *kRun) scalar(acc []float32, x, w, kw0, kw1 int) {
+	a, b := kw0*k.ic, kw1*k.ic
+	xs := k.xd[x+a : x+b]
+	for o := k.ocBlocks; o < len(acc); o++ {
+		w0 := o*k.kStride + w
+		sum := acc[o]
+		for i, wv := range k.wd[w0+a : w0+b] {
+			sum += xs[i] * wv
+		}
+		acc[o] = sum
+	}
+}
+
+// dot4x2 adds the 4-pixel × 2-OC tile of products x_q·w_j to
+// acc[q*ldc+j], one K step at a time.
+func dot4x2(acc []float32, ldc int, x0, x1, x2, x3, w0, w1 []float32) {
+	r0, r1, r2, r3 := acc[0:2], acc[ldc:ldc+2], acc[2*ldc:2*ldc+2], acc[3*ldc:3*ldc+2]
+	c00, c01 := r0[0], r0[1]
+	c10, c11 := r1[0], r1[1]
+	c20, c21 := r2[0], r2[1]
+	c30, c31 := r3[0], r3[1]
+	n := len(x0)
+	x1, x2, x3 = x1[:n], x2[:n], x3[:n]
+	w0, w1 = w0[:n], w1[:n]
+	for i, a0 := range x0 {
+		a1, a2, a3 := x1[i], x2[i], x3[i]
+		b0, b1 := w0[i], w1[i]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c20 += a2 * b0
+		c21 += a2 * b1
+		c30 += a3 * b0
+		c31 += a3 * b1
+	}
+	r0[0], r0[1] = c00, c01
+	r1[0], r1[1] = c10, c11
+	r2[0], r2[1] = c20, c21
+	r3[0], r3[1] = c30, c31
+}
+
+// dot1x4 is the 1-pixel × 4-OC form of dot4x2 for acc[0:4].
+func dot1x4(acc []float32, x, w0, w1, w2, w3 []float32) {
+	acc = acc[:4]
+	c0, c1, c2, c3 := acc[0], acc[1], acc[2], acc[3]
+	n := len(x)
+	w0, w1, w2, w3 = w0[:n], w1[:n], w2[:n], w3[:n]
+	for i, a := range x {
+		c0 += a * w0[i]
+		c1 += a * w1[i]
+		c2 += a * w2[i]
+		c3 += a * w3[i]
+	}
+	acc[0], acc[1], acc[2], acc[3] = c0, c1, c2, c3
 }
 
 // Desc lowers the convolution to a device kernel descriptor using the

@@ -1,8 +1,11 @@
 package cutlass
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"bolt/internal/fp16"
 	"bolt/internal/gpu"
 	"bolt/internal/tensor"
 )
@@ -204,5 +207,159 @@ func TestConvAlignmentAffectsSpeed(t *testing.T) {
 	if conv8.Time(d) >= conv2.Time(d) {
 		t.Errorf("aligned conv (%.3gus) should beat unaligned (%.3gus)",
 			conv8.Time(d)*1e6, conv2.Time(d)*1e6)
+	}
+}
+
+// directConv2D is the straightforward direct-convolution loop that
+// Conv2D.RunInto's micro-kernel replaced: one float32 sum per (pixel,
+// OC), accumulated in (kh, kw, ic) order with out-of-bounds taps
+// skipped. It is the exact oracle for the blocked kernel.
+func directConv2D(c *Conv2D, x, w, bias *tensor.Tensor) *tensor.Tensor {
+	s := c.Shape
+	oh, ow := s.OutH(), s.OutW()
+	out := tensor.NewWithLayout(c.Epilogue.OutDType, tensor.LayoutNHWC, s.N, oh, ow, s.OC)
+	xd, wd, od := x.Data(), w.Data(), out.Data()
+	acc := make([]float32, s.OC)
+	for r := 0; r < s.N*oh; r++ {
+		in, io := r/oh, r%oh
+		for jo := 0; jo < ow; jo++ {
+			clear(acc)
+			for kh := 0; kh < s.KH; kh++ {
+				ih := io*s.StrideH - s.PadH + kh
+				if ih < 0 || ih >= s.H {
+					continue
+				}
+				for kw := 0; kw < s.KW; kw++ {
+					iw := jo*s.StrideW - s.PadW + kw
+					if iw < 0 || iw >= s.W {
+						continue
+					}
+					xoff := ((in*s.H+ih)*s.W + iw) * s.IC
+					for oc := 0; oc < s.OC; oc++ {
+						woff := ((oc*s.KH+kh)*s.KW + kw) * s.IC
+						sum := acc[oc]
+						for ic := 0; ic < s.IC; ic++ {
+							sum += xd[xoff+ic] * wd[woff+ic]
+						}
+						acc[oc] = sum
+					}
+				}
+			}
+			ooff := ((in*oh+io)*ow + jo) * s.OC
+			for oc := 0; oc < s.OC; oc++ {
+				var cv float32
+				if bias != nil {
+					cv = bias.Data()[oc]
+				}
+				v := c.Epilogue.apply(acc[oc], cv)
+				if c.Epilogue.OutDType == tensor.FP16 {
+					v = fp16.ToFloat32(fp16.FromFloat32(v))
+				}
+				od[ooff+oc] = v
+			}
+		}
+	}
+	if c.Epilogue.OutDType == tensor.INT8 {
+		out.CalibrateScale()
+	}
+	return out
+}
+
+// TestConvMicroKernelBitIdentical pins the accumulation-order
+// contract: the register-blocked kernel equals the direct loop bit for
+// bit across tile paths (full 4x4 tiles, partial-tap and short pixel
+// blocks, OC%4 leftovers), epilogues and chunk partitions.
+func TestConvMicroKernelBitIdentical(t *testing.T) {
+	d := gpu.T4()
+	cfg := convConfig()
+	cfg.AlignA, cfg.AlignB, cfg.AlignC = 1, 1, 1
+	geoms := []struct {
+		name                         string
+		h, w, ic, oc, k, stride, pad int
+	}{
+		{"1x1 M%4=1", 5, 5, 64, 36, 1, 1, 0},
+		{"1x1 stride2 oddIC", 7, 7, 17, 10, 1, 2, 0},
+		{"3x3 stem IC=3", 6, 6, 3, 8, 3, 1, 1},
+		{"3x3 stride2 oddIC OC%4=2", 9, 9, 9, 6, 3, 2, 1},
+		{"3x3 pad0 nonsquare", 6, 5, 7, 5, 3, 1, 0},
+		{"3x3 2x2 spatial", 2, 2, 5, 7, 3, 1, 1},
+		{"3x3 1x1 spatial", 1, 1, 16, 13, 3, 1, 1},
+		{"3x3 odd chunks", 23, 23, 5, 6, 3, 1, 1},
+		{"7x7 stride2 pad3 IC=3", 16, 16, 3, 64, 7, 2, 3},
+	}
+	type epiCase struct {
+		name string
+		epi  Epilogue
+		bias bool
+	}
+	var epis []epiCase
+	for _, dt := range []tensor.DType{tensor.FP16, tensor.FP32, tensor.INT8} {
+		for _, e := range []epiCase{
+			{"linear", DefaultEpilogue(), false},
+			{"gelu", Epilogue{Alpha: 1, Act: ActGELU}, false},
+			{"bias relu", BiasActivation(ActReLU), true},
+			{"bias gelu", BiasActivation(ActGELU), true},
+		} {
+			e.epi.OutDType = dt
+			e.name = dt.String() + " " + e.name
+			epis = append(epis, e)
+		}
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for gi, g := range geoms {
+		for _, n := range []int{1, 3, 8} {
+			s := ConvShape{N: n, H: g.h, W: g.w, IC: g.ic, OC: g.oc, KH: g.k, KW: g.k,
+				StrideH: g.stride, StrideW: g.stride, PadH: g.pad, PadW: g.pad}
+			seed := int64(10 * gi)
+			x := randNHWC(seed+1, n, g.h, g.w, g.ic)
+			w := randOHWI(seed+2, g.oc, g.k, g.k, g.ic)
+			bias := tensor.New(tensor.FP16, g.oc)
+			bias.FillRandom(seed+3, 1)
+			for _, e := range epis {
+				conv, err := NewConv2D(s, cfg, e.epi, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b *tensor.Tensor
+				if e.bias {
+					b = bias
+				}
+				want := directConv2D(conv, x, w, b)
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					got := conv.Run(x, w, b)
+					if got.DType() != want.DType() || got.Scale() != want.Scale() {
+						t.Fatalf("%s n=%d %s procs=%d: dtype/scale %v/%g, want %v/%g", g.name, n, e.name, procs,
+							got.DType(), got.Scale(), want.DType(), want.Scale())
+					}
+					for i, v := range got.Data() {
+						if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+							t.Fatalf("%s n=%d %s procs=%d: element %d = %g, direct loop %g",
+								g.name, n, e.name, procs, i, v, want.Data()[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvRunIntoAllocs pins RunInto's per-call heap allocations: the
+// micro-kernel keeps its scratch on the stack or in the accumulator
+// pool, so the only allocation is the escaping parallelRows closure.
+func TestConvRunIntoAllocs(t *testing.T) {
+	// A batch-1 ResNet-50-at-32² stage-1 3x3 conv.
+	conv, err := NewConv2D(Conv3x3(1, 8, 8, 64, 64, 1, 1), convConfig(), BiasActivation(ActReLU), gpu.T4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, w := randNHWC(1, 1, 8, 8, 64), randOHWI(2, 64, 3, 3, 64)
+	bias := tensor.New(tensor.FP16, 64)
+	bias.FillRandom(3, 1)
+	dst := tensor.NewWithLayout(tensor.FP16, tensor.LayoutNHWC, 1, 8, 8, 64)
+	conv.RunInto(dst, x, w, bias) // warm the accumulator pool
+	if got := testing.AllocsPerRun(50, func() { conv.RunInto(dst, x, w, bias) }); got > 1 {
+		t.Errorf("RunInto allocates %.1f times per call, want <= 1", got)
 	}
 }

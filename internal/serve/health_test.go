@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestBacklogCountsQueuedRows(t *testing.T) {
 // finish time minus the execution clock — exactly the batch's modeled
 // cost — and drops to zero once it retires.
 func TestBacklogCountsInFlightWork(t *testing.T) {
-	entered := make(chan struct{})
+	entered := make(chan struct{}, 1) // buffered: the hook never blocks on the test
 	release := make(chan struct{})
 	var gate atomic.Bool
 	s := NewServer(ServerOptions{
@@ -72,7 +73,16 @@ func TestBacklogCountsInFlightWork(t *testing.T) {
 		},
 	})
 	defer s.Close()
-	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
+	// Deferred after Close so it runs first: a failed assertion must
+	// not leave the worker parked in the hook while Close waits on it.
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark()
+	// An hour-long window keeps the wall clock from dispatching a
+	// partial batch before all four rows are queued.
+	if err := s.Deploy("m", fakeVariant, DeployOptions{
+		Buckets: []int{1, 2, 4}, BatchWindow: time.Hour,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Warm("m"); err != nil {
@@ -92,7 +102,7 @@ func TestBacklogCountsInFlightWork(t *testing.T) {
 	if got := s.BacklogSeconds(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("in-flight backlog %g, want batch cost %g", got, want)
 	}
-	close(release)
+	unpark()
 	for _, ch := range chans {
 		if res := <-ch; res.Err != nil {
 			t.Fatal(res.Err)
