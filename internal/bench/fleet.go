@@ -38,8 +38,8 @@ const fleetP99Budget = 1.5
 // fleetCompiler is the serving CNN's variant compiler with an
 // optional profiler-measurement counter, so the warm scale-up stage
 // can prove a replica added mid-run compiled measurement-free.
-func (s *Suite) fleetCompiler(log *tunelog.Log, measured *atomic.Int64) serve.CompileVariantOn {
-	inner := s.tenantCompilerOn(servingModel(), log)
+func (s *Suite) fleetCompiler(log *tunelog.Log, measured *atomic.Int64) serve.CompileVariant {
+	inner := s.tenantCompiler(servingModel(), log)
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		m, err := inner(dev, batch)
 		if err == nil && measured != nil {

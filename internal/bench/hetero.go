@@ -51,11 +51,16 @@ func heteroModel() *relay.Graph {
 	return b.Build(b.Softmax(d))
 }
 
-// tenantCompilerOn is the device-parameterized form of tenantCompiler:
-// the pool passes each device class's device, so a T4 worker and an
-// A100 worker each compile variants tuned for their own silicon while
-// recording into one shared tuning log.
-func (s *Suite) tenantCompilerOn(src *relay.Graph, log *tunelog.Log) serve.CompileVariantOn {
+// tenantCompiler returns a serving variant compiler for one source
+// graph: Rebatch the source at the bucket size and run the regular
+// pipeline backed by a shared in-memory tuning log, so buckets whose
+// workloads overlap (and recompiles of a bucket ever seen before)
+// measure nothing; multiple tenants sharing one log model the
+// server-wide tuning cache. The pool passes each device class's device
+// (nil means the suite device), so a T4 worker and an A100 worker each
+// compile variants tuned for their own silicon while recording into
+// one shared tuning log.
+func (s *Suite) tenantCompiler(src *relay.Graph, log *tunelog.Log) serve.CompileVariant {
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		if dev == nil {
 			dev = s.Dev
@@ -132,7 +137,7 @@ func (s *Suite) floodPool(devices []*gpu.Device, log *tunelog.Log, inputs []map[
 		TraceLabel:  label,
 	})
 	defer srv.Close()
-	if err := srv.DeployOn("widenet", s.tenantCompilerOn(heteroModel(), log), serve.DeployOptions{
+	if err := srv.Deploy("widenet", s.tenantCompiler(heteroModel(), log), serve.DeployOptions{
 		Buckets: []int{1, 2, 4, 8},
 	}); err != nil {
 		panic(err)
@@ -172,7 +177,7 @@ func (s *Suite) runHetero() heteroArtifact {
 	}
 	log := tunelog.New()
 	t4, a100 := gpu.T4(), gpu.A100()
-	compile := s.tenantCompilerOn(heteroModel(), log)
+	compile := s.tenantCompiler(heteroModel(), log)
 
 	// Price the full bucket on both devices (this also primes the
 	// shared tuning log, so every pool below warms measurement-free).

@@ -126,7 +126,7 @@ func (s *Suite) runMultiModel() multiModelArtifact {
 	// service rate (the pool stays backlogged, so WRR fairness is
 	// exercised under contention), every fourth request
 	// latency-sensitive, the rest bulk.
-	mod8, err := s.tenantCompiler(servingModel(), log)(8)
+	mod8, err := s.tenantCompiler(servingModel(), log)(nil, 8)
 	if err != nil {
 		panic(err)
 	}

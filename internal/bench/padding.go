@@ -86,7 +86,7 @@ type paddingArtifact struct {
 // the outcome depends only on modeled costs and simulated arrivals.
 func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddingPolicy, inputs []map[string]*tensor.Tensor, arrivals []float64) serve.Stats {
 	gate := make(chan struct{})
-	inner := s.tenantCompilerOn(heteroModel(), log)
+	inner := s.tenantCompiler(heteroModel(), log)
 	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		<-gate
 		return inner(dev, batch)
@@ -100,7 +100,7 @@ func (s *Suite) floodPadding(devices []*gpu.Device, log *tunelog.Log, pol paddin
 		TraceLabel:  "padding " + pol.name,
 	})
 	defer srv.Close()
-	if err := srv.DeployOn("widenet", gated, serve.DeployOptions{
+	if err := srv.Deploy("widenet", gated, serve.DeployOptions{
 		Buckets:            pol.buckets,
 		AllowPadding:       pol.pad,
 		ContinuousBatching: pol.continuous,
@@ -138,7 +138,7 @@ func (s *Suite) runPadding() paddingArtifact {
 	}
 	log := tunelog.New()
 	t4, a100 := gpu.T4(), gpu.A100()
-	compile := s.tenantCompilerOn(heteroModel(), log)
+	compile := s.tenantCompiler(heteroModel(), log)
 
 	// Price the ladder's ends on the T4 (priming the shared tuning log
 	// along the way): the bucket-8/bucket-1 cost ratio is what makes

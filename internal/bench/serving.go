@@ -16,7 +16,7 @@ import (
 	"bolt/internal/tunelog"
 )
 
-// The serving experiment exercises the PR-3 concurrent serving engine:
+// The serving experiment exercises the concurrent serving path:
 // a seeded Poisson stream of single-sample requests is coalesced by
 // the dynamic batcher into batch-bucketed runs over lazily compiled
 // variants, and throughput/latency are measured on the simulated
@@ -44,26 +44,7 @@ func servingModel() *relay.Graph {
 	return b.Build(b.Softmax(d))
 }
 
-// tenantCompiler returns a serving variant compiler for one source
-// graph: Rebatch the source at the bucket size and run the regular
-// pipeline backed by a shared in-memory tuning log, so buckets whose
-// workloads overlap (and recompiles of a bucket ever seen before)
-// measure nothing. Multiple tenants sharing one log model the
-// server-wide tuning cache. It is the suite-device case of
-// tenantCompilerOn (hetero.go).
-func (s *Suite) tenantCompiler(src *relay.Graph, log *tunelog.Log) serve.CompileVariant {
-	on := s.tenantCompilerOn(src, log)
-	return func(batch int) (*rt.Module, error) {
-		return on(nil, batch)
-	}
-}
-
-// servingCompiler is tenantCompiler over the serving experiment's CNN.
-func (s *Suite) servingCompiler(log *tunelog.Log) serve.CompileVariant {
-	return s.tenantCompiler(servingModel(), log)
-}
-
-// servingRun is one engine configuration's measured result.
+// servingRun is one server configuration's measured result.
 type servingRun struct {
 	Workers    int           `json:"workers"`
 	MaxBucket  int           `json:"max_bucket"`
@@ -88,28 +69,28 @@ type servingArtifact struct {
 	ConcurrentCallersAllocsPerRun float64 `json:"concurrent_callers_allocs_per_run"`
 }
 
-// floodEngine replays the prepared requests (with their simulated
-// arrival times) against one engine configuration and returns its
-// serving stats.
-func (s *Suite) floodEngine(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
-	eng, err := serve.New(s.servingCompiler(log), serve.Options{
-		Buckets:     buckets,
+// floodServer replays the prepared requests (with their simulated
+// arrival times) against one single-model server configuration and
+// returns its serving stats.
+func (s *Suite) floodServer(log *tunelog.Log, workers int, buckets []int, inputs []map[string]*tensor.Tensor, arrivals []float64, label string) serve.Stats {
+	srv := serve.NewServer(serve.ServerOptions{
 		Workers:     workers,
 		QueueDepth:  len(inputs),
 		BatchWindow: 5 * time.Millisecond,
 		Trace:       s.Trace,
 		TraceLabel:  label,
 	})
-	if err != nil {
+	defer srv.Close()
+	const model = "servenet"
+	if err := srv.Deploy(model, s.tenantCompiler(servingModel(), log), serve.DeployOptions{Buckets: buckets}); err != nil {
 		panic(err)
 	}
-	defer eng.Close()
-	if err := eng.Warm(); err != nil {
+	if err := srv.Warm(model); err != nil {
 		panic(err)
 	}
 	chans := make([]<-chan serve.Result, len(inputs))
 	for i, in := range inputs {
-		ch, err := eng.InferAsyncOpts(in, serve.InferOptions{SimArrival: arrivals[i]})
+		ch, err := srv.InferAsync(model, in, serve.InferOptions{SimArrival: arrivals[i]})
 		if err != nil {
 			panic(err)
 		}
@@ -120,7 +101,7 @@ func (s *Suite) floodEngine(log *tunelog.Log, workers int, buckets []int, inputs
 			panic(res.Err)
 		}
 	}
-	return eng.Stats()
+	return srv.Stats()
 }
 
 // measureRunAllocs reports steady-state allocations per Module.Run
@@ -171,7 +152,7 @@ func (s *Suite) runServing() servingArtifact {
 	// while multi-worker latencies reflect queueing against real
 	// arrival gaps instead of a flood at t=0. The bucket-8 compile here
 	// also primes the shared tuning log.
-	mod8, err := s.servingCompiler(log)(8)
+	mod8, err := s.tenantCompiler(servingModel(), log)(nil, 8)
 	if err != nil {
 		panic(err)
 	}
@@ -189,7 +170,7 @@ func (s *Suite) runServing() servingArtifact {
 	var base, four float64
 	for _, c := range configs {
 		label := fmt.Sprintf("serving %dw b%d", c.workers, c.buckets[len(c.buckets)-1])
-		st := s.floodEngine(log, c.workers, c.buckets, inputs, arrivals, label)
+		st := s.floodServer(log, c.workers, c.buckets, inputs, arrivals, label)
 		row := servingRun{
 			Workers:    c.workers,
 			MaxBucket:  c.buckets[len(c.buckets)-1],
@@ -211,7 +192,7 @@ func (s *Suite) runServing() servingArtifact {
 	}
 
 	// Steady-state allocation accounting on the batch-1 variant.
-	mod, err := s.servingCompiler(log)(1)
+	mod, err := s.tenantCompiler(servingModel(), log)(nil, 1)
 	if err != nil {
 		panic(err)
 	}

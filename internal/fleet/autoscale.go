@@ -59,7 +59,7 @@ func (f *Fleet) Grow() (int, error) {
 	r.live = false
 	f.mu.Unlock()
 	for _, spec := range specs {
-		if err := r.srv.DeployOn(spec.name, spec.compile, spec.opts); err != nil {
+		if err := r.srv.Deploy(spec.name, spec.compile, spec.opts); err != nil {
 			r.srv.Close()
 			return -1, fmt.Errorf("fleet: grow replica %d: deploy %q: %w", r.id, spec.name, err)
 		}

@@ -105,7 +105,7 @@ type Options struct {
 // at runtime can redeploy it through the same Deploy lifecycle.
 type tenantSpec struct {
 	name    string
-	compile serve.CompileVariantOn
+	compile serve.CompileVariant
 	opts    serve.DeployOptions
 }
 
@@ -235,7 +235,7 @@ func (f *Fleet) Replicas() int {
 // replica added later). The compile closure is shared by all replicas
 // — giving it a shared tuning-log cache is what makes later replicas
 // warm up measurement-free.
-func (f *Fleet) Deploy(name string, compile serve.CompileVariantOn, opts serve.DeployOptions) error {
+func (f *Fleet) Deploy(name string, compile serve.CompileVariant, opts serve.DeployOptions) error {
 	f.deployMu.Lock()
 	defer f.deployMu.Unlock()
 	f.mu.Lock()
@@ -252,7 +252,7 @@ func (f *Fleet) Deploy(name string, compile serve.CompileVariantOn, opts serve.D
 	live := f.liveLocked()
 	f.mu.Unlock()
 	for i, r := range live {
-		if err := r.srv.DeployOn(name, compile, opts); err != nil {
+		if err := r.srv.Deploy(name, compile, opts); err != nil {
 			for _, u := range live[:i] {
 				_ = u.srv.Undeploy(name)
 			}

@@ -16,7 +16,7 @@ import (
 // testCompile builds a hand-made two-kernel module (input -> x+1) at
 // the given batch, bound to the target device, optionally counting
 // invocations — the fleet-level stand-in for the tuning pipeline.
-func testCompile(counter *atomic.Int64) serve.CompileVariantOn {
+func testCompile(counter *atomic.Int64) serve.CompileVariant {
 	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		if counter != nil {
 			counter.Add(1)

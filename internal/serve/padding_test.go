@@ -3,43 +3,8 @@ package serve
 import (
 	"testing"
 
-	"bolt/internal/gpu"
-	"bolt/internal/relay"
-	"bolt/internal/rt"
 	"bolt/internal/tensor"
 )
-
-// costVariant builds the fakeVariant module with an arbitrary modeled
-// kernel size per batch, so tests can shape the bucket ladder's cost
-// curve (e.g. make the bucket-2 variant cheaper than bucket 1 to force
-// a padded dispatch, or exactly equal to pin tie-breaking).
-func costVariant(elems func(batch int) int) CompileVariant {
-	return func(batch int) (*rt.Module, error) {
-		in := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x",
-			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
-		add := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{in},
-			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
-		g := &relay.Graph{Nodes: []*relay.Node{in, add}, Inputs: []*relay.Node{in}, Output: add}
-		return &rt.Module{
-			Graph:  g,
-			Device: gpu.T4(),
-			Kernels: []rt.Kernel{
-				{Name: "in", Node: in, Slot: 0,
-					Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input("x") }},
-				{Name: "add1", Node: add, Slot: 1, Launches: 1,
-					Desc: rt.ElementwiseLikeDesc("add1", elems(batch), 1, 1, tensor.FP32),
-					Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
-						x := env.Value(0)
-						out := x.Clone()
-						for i, v := range x.Data() {
-							out.Data()[i] = v + 1
-						}
-						return out
-					}},
-			},
-		}, nil
-	}
-}
 
 // TestPaddedDispatchBeatsStrict forces the padded plan: the bucket-2
 // variant is modeled cheaper than bucket 1, so a lone high-priority

@@ -7,24 +7,8 @@ import (
 
 	"bolt/internal/gpu"
 	"bolt/internal/relay"
-	"bolt/internal/rt"
 	"bolt/internal/tensor"
 )
-
-// fakeVariantOn is fakeVariant with the module bound to the target
-// device, so its modeled batch cost (Module.Time) differs by device
-// class: the same kernel descriptor prices faster on an A100 than on a
-// T4.
-func fakeVariantOn(dev *gpu.Device, batch int) (*rt.Module, error) {
-	mod, err := fakeVariant(batch)
-	if err != nil {
-		return nil, err
-	}
-	if dev != nil {
-		mod.Device = dev
-	}
-	return mod, nil
-}
 
 // TestNewPoolGroupsClasses pins the device-class grouping: same-name
 // devices share a class, nil devices form the anonymous class, and
@@ -142,7 +126,7 @@ func TestServerHeteroDispatchAndDeviceStats(t *testing.T) {
 	t4, a100 := gpu.T4(), gpu.A100()
 	s := NewServer(ServerOptions{Devices: []*gpu.Device{t4, a100}})
 	defer s.Close()
-	if err := s.DeployOn("m", fakeVariantOn, DeployOptions{Buckets: []int{1, 4}}); err != nil {
+	if err := s.Deploy("m", fakeVariant, DeployOptions{Buckets: []int{1, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Warm("m"); err != nil {
@@ -302,7 +286,7 @@ func TestServerSingleDevicePoolMatchesWorkers(t *testing.T) {
 	run := func(opts ServerOptions) (map[int]int64, []float64) {
 		s := NewServer(opts)
 		defer s.Close()
-		if err := s.DeployOn("m", fakeVariantOn, DeployOptions{
+		if err := s.Deploy("m", fakeVariant, DeployOptions{
 			Buckets: []int{1, 2, 4}, BatchWindow: 20 * time.Millisecond,
 		}); err != nil {
 			t.Fatal(err)
@@ -345,7 +329,7 @@ func TestServerSingleDevicePoolMatchesWorkers(t *testing.T) {
 // (Module.Memory) would panic; pin that assumption here so a change to
 // fakeVariant fails loudly.
 func TestFakeVariantIsPlannable(t *testing.T) {
-	mod, err := fakeVariant(2)
+	mod, err := fakeVariant(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

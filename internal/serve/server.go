@@ -62,8 +62,7 @@ type ServerOptions struct {
 	Fault FaultHook
 	// OnClose, when set, runs exactly once at the end of Close, after
 	// every request is answered and the workers have stopped (the bolt
-	// wrapper persists the shared tuning log here, so closing through
-	// any view — Server or a compatibility Engine — flushes it).
+	// wrapper persists the shared tuning log here).
 	OnClose func()
 	// Trace, when set, records request-lifecycle spans (plan, compile,
 	// dispatch, execute, per-request trees) into the tracer on the
@@ -313,7 +312,7 @@ func (ts *tenantStats) stagesSnapshot() map[Priority]StageBreakdown {
 type tenant struct {
 	name            string
 	order           int // deploy order (WRR tie-break, deterministic iteration)
-	compile         CompileVariantOn
+	compile         CompileVariant
 	buckets         []int // sorted ascending, 1 always present
 	window          time.Duration
 	weight          int
@@ -463,25 +462,12 @@ func NewServer(opts ServerOptions) *Server {
 
 // Deploy registers a model under a unique name. Its batch variants
 // compile lazily on first use (or eagerly via Warm) through the
-// server's shared compile pool. The device-agnostic compile function
-// targets whatever device the bolt wrapper bound it to; on a
-// heterogeneous pool, use DeployOn so every device class gets its own
-// variants.
+// server's shared compile pool, once per device class: the pool passes
+// each class's device (nil for the anonymous homogeneous class) into
+// compile, so a T4 worker and an A100 worker each execute a module
+// tuned for their own silicon while sharing one tuning log (its keys
+// are device-scoped).
 func (s *Server) Deploy(name string, compile CompileVariant, opts DeployOptions) error {
-	if compile == nil {
-		return errors.New("serve: nil compile function")
-	}
-	return s.DeployOn(name, func(_ *gpu.Device, batch int) (*rt.Module, error) {
-		return compile(batch)
-	}, opts)
-}
-
-// DeployOn registers a model whose variants compile per device class:
-// the pool passes each class's device (nil for the anonymous
-// homogeneous class) into compile, so a T4 worker and an A100 worker
-// each execute a module tuned for their own silicon while sharing one
-// tuning log (its keys are device-scoped).
-func (s *Server) DeployOn(name string, compile CompileVariantOn, opts DeployOptions) error {
 	if compile == nil {
 		return errors.New("serve: nil compile function")
 	}
@@ -816,20 +802,6 @@ func (s *Server) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pendingTotal
-}
-
-// SimMakespan returns the largest worker clock without building the
-// full aggregate snapshot.
-func (s *Server) SimMakespan() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m float64
-	for _, c := range s.clocks {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // snapshotLocked copies one tenant's counters (caller holds s.mu).

@@ -9,8 +9,171 @@ import (
 	"testing"
 	"time"
 
+	"bolt/internal/gpu"
+	"bolt/internal/relay"
 	"bolt/internal/rt"
+	"bolt/internal/tensor"
 )
+
+// costVariant builds a hand-made two-kernel module (input -> x+1) at
+// the given batch, so server mechanics are testable without the
+// compilation pipeline. The launch desc gives batches a modeled cost
+// of elems(batch) elements, so simulated clocks advance and tests can
+// shape the bucket ladder's cost curve (e.g. make the bucket-2 variant
+// cheaper than bucket 1 to force a padded dispatch, or exactly equal
+// to pin tie-breaking). The module is bound to the target device (T4
+// for the anonymous class), so the same kernel descriptor prices
+// faster on an A100 than on a T4.
+func costVariant(elems func(batch int) int) CompileVariant {
+	return func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		if dev == nil {
+			dev = gpu.T4()
+		}
+		in := &relay.Node{ID: 0, Op: relay.OpInput, Name: "x",
+			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
+		add := &relay.Node{ID: 1, Op: relay.OpActivation, Inputs: []*relay.Node{in},
+			Shape: tensor.Shape{batch, 4}, DType: tensor.FP32}
+		g := &relay.Graph{Nodes: []*relay.Node{in, add}, Inputs: []*relay.Node{in}, Output: add}
+		return &rt.Module{
+			Graph:  g,
+			Device: dev,
+			Kernels: []rt.Kernel{
+				{Name: "in", Node: in, Slot: 0,
+					Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor { return env.Input("x") }},
+				{Name: "add1", Node: add, Slot: 1, Launches: 1,
+					Desc: rt.ElementwiseLikeDesc("add1", elems(batch), 1, 1, tensor.FP32),
+					Exec: func(env *rt.Env, dst *tensor.Tensor) *tensor.Tensor {
+						x := env.Value(0)
+						out := x.Clone()
+						for i, v := range x.Data() {
+							out.Data()[i] = v + 1
+						}
+						return out
+					}},
+			},
+		}, nil
+	}
+}
+
+// fakeVariant is the costVariant module priced at its real size.
+var fakeVariant = costVariant(func(batch int) int { return batch * 4 })
+
+func sampleInput(seed int64) map[string]*tensor.Tensor {
+	in := tensor.New(tensor.FP32, 1, 4)
+	in.FillRandom(seed, 1)
+	return map[string]*tensor.Tensor{"x": in}
+}
+
+func TestServerInferAddsOne(t *testing.T) {
+	s := NewServer(ServerOptions{Workers: 2})
+	defer s.Close()
+	if err := s.Deploy("m", fakeVariant, DeployOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	in := sampleInput(7)
+	out, err := s.Infer("m", in, InferOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range in["x"].Data() {
+		if out.Data()[i] != v+1 {
+			t.Fatalf("out[%d] = %g, want %g", i, out.Data()[i], v+1)
+		}
+	}
+	if !out.Shape().Equal(tensor.Shape{1, 4}) {
+		t.Errorf("output shape %v, want (1, 4)", out.Shape())
+	}
+}
+
+// TestServerBatchesFlood pins dynamic batching under a flood. The
+// hour-long window holds every underfull batch, so the 8 requests
+// dispatch as full bucket-4 batches whatever the host interleaving.
+func TestServerBatchesFlood(t *testing.T) {
+	s := NewServer(ServerOptions{Workers: 2})
+	defer s.Close()
+	if err := s.Deploy("m", fakeVariant, DeployOptions{
+		Buckets: []int{1, 2, 4}, BatchWindow: time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	chans := make([]<-chan Result, n)
+	inputs := make([]map[string]*tensor.Tensor, n)
+	for i := 0; i < n; i++ {
+		inputs[i] = sampleInput(int64(i + 1))
+		ch, err := s.InferAsync("m", inputs[i], InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		for j, v := range inputs[i]["x"].Data() {
+			if res.Output.Data()[j] != v+1 {
+				t.Fatalf("request %d slot %d: got %g want %g", i, j, res.Output.Data()[j], v+1)
+			}
+		}
+		if res.SimLatency <= 0 {
+			t.Error("simulated latency must be positive")
+		}
+	}
+	st := s.Stats()
+	if st.Requests != n {
+		t.Errorf("requests %d, want %d", st.Requests, n)
+	}
+	if st.BatchSizes[4] == 0 {
+		t.Errorf("flood of %d should have produced a bucket-4 batch: %v", n, st.BatchSizes)
+	}
+	if st.SimMakespan <= 0 || st.Throughput() <= 0 {
+		t.Errorf("bad makespan/throughput: %+v", st)
+	}
+	if st.LatencyPercentile(99) < st.LatencyPercentile(50) {
+		t.Error("p99 below p50")
+	}
+}
+
+func TestServerCompileErrorPropagates(t *testing.T) {
+	boom := errors.New("no such variant")
+	s := NewServer(ServerOptions{})
+	defer s.Close()
+	if err := s.Deploy("m", func(dev *gpu.Device, batch int) (*rt.Module, error) {
+		if batch > 1 {
+			return nil, boom
+		}
+		return fakeVariant(dev, batch)
+	}, DeployOptions{Buckets: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warm("m", 2); !errors.Is(err, boom) {
+		t.Errorf("Warm error %v, want %v", err, boom)
+	}
+	// Bucket 1 still serves.
+	if _, err := s.Infer("m", sampleInput(1), InferOptions{}); err != nil {
+		t.Errorf("bucket-1 request failed: %v", err)
+	}
+}
+
+func TestServerExecPanicBecomesError(t *testing.T) {
+	s := NewServer(ServerOptions{})
+	defer s.Close()
+	if err := s.Deploy("m", fakeVariant, DeployOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// Wrong input name: env.Input panics inside the kernel; the worker
+	// must answer with an error, not die.
+	bad := map[string]*tensor.Tensor{"nope": tensor.New(tensor.FP32, 1, 4)}
+	if _, err := s.Infer("m", bad, InferOptions{}); err == nil {
+		t.Fatal("bad input should error")
+	}
+	// The server is still alive afterwards.
+	if _, err := s.Infer("m", sampleInput(3), InferOptions{}); err != nil {
+		t.Fatalf("server wedged after panic: %v", err)
+	}
+}
 
 // TestServerPriorityPreemptsWindow pins the high-priority semantics: a
 // tenant with a long batch window holds normal-priority stragglers,
@@ -254,7 +417,7 @@ func TestServerWarmConcurrentJoinedErrors(t *testing.T) {
 	var active, peak atomic.Int32
 	s := NewServer(ServerOptions{Workers: 1, CompileJobs: 4})
 	defer s.Close()
-	err := s.Deploy("m", func(batch int) (*rt.Module, error) {
+	err := s.Deploy("m", func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -267,7 +430,7 @@ func TestServerWarmConcurrentJoinedErrors(t *testing.T) {
 		if batch == 3 || batch == 5 {
 			return nil, boom
 		}
-		return fakeVariant(batch)
+		return fakeVariant(dev, batch)
 	}, DeployOptions{Buckets: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -441,9 +604,9 @@ func TestServerCloseRejectsAndFlushes(t *testing.T) {
 	}
 }
 
-// TestNormalizeBucketsEdgeCases is the satellite coverage for
-// Options.normalized / normalizeBuckets: dedup, the implied bucket 1,
-// dropped non-positive buckets, and defaults.
+// TestNormalizeBucketsEdgeCases covers normalizeBuckets and
+// ServerOptions.normalized: dedup, the implied bucket 1, dropped
+// non-positive buckets, and defaults.
 func TestNormalizeBucketsEdgeCases(t *testing.T) {
 	cases := []struct {
 		in   []int
@@ -462,10 +625,6 @@ func TestNormalizeBucketsEdgeCases(t *testing.T) {
 		if got != c.want {
 			t.Errorf("normalizeBuckets(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-	o := Options{Buckets: []int{4, 4, -2}, Workers: -3, QueueDepth: 0}.normalized()
-	if fmt.Sprint(o.Buckets) != "[1 4]" || o.Workers != 1 || o.QueueDepth != 1024 {
-		t.Errorf("Options.normalized defaults wrong: %+v", o)
 	}
 	so := ServerOptions{Workers: 0, QueueDepth: -1, CompileJobs: 0}.normalized()
 	if so.Workers != 1 || so.QueueDepth != 1024 || so.CompileJobs != 1 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bolt/internal/gpu"
 	"bolt/internal/obs"
 	"bolt/internal/rt"
 )
@@ -33,9 +34,9 @@ func tracedRun(t *testing.T, compileJobs int) (*obs.Tracer, []Result) {
 	defer s.Close()
 	gate := make(chan struct{})
 	inner := costVariant(func(batch int) int { return batch * (1 << 20) })
-	gated := func(batch int) (*rt.Module, error) {
+	gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
 		<-gate
-		return inner(batch)
+		return inner(dev, batch)
 	}
 	if err := s.Deploy("m", gated, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 		t.Fatal(err)
@@ -198,9 +199,9 @@ func TestTraceDisabledLeavesResultsIdentical(t *testing.T) {
 		defer s.Close()
 		gate := make(chan struct{})
 		inner := costVariant(func(batch int) int { return batch * (1 << 20) })
-		gated := func(batch int) (*rt.Module, error) {
+		gated := func(dev *gpu.Device, batch int) (*rt.Module, error) {
 			<-gate
-			return inner(batch)
+			return inner(dev, batch)
 		}
 		if err := s.Deploy("m", gated, DeployOptions{Buckets: []int{1, 2, 4}}); err != nil {
 			t.Fatal(err)

@@ -262,22 +262,4 @@ func TestServerSharedTuningCache(t *testing.T) {
 	if warm := loadLog(); warm.Len() != cold.Len() {
 		t.Errorf("warm recompile grew the cache from %d to %d entries (cache misses)", cold.Len(), warm.Len())
 	}
-
-	// The compatibility wrapper shares the persistence path: an Engine
-	// closed through serve.Engine.Close must still flush the log (the
-	// server's OnClose hook).
-	engCache := filepath.Join(t.TempDir(), "eng.json")
-	eng, err := bolt.NewEngine(buildTiny1(), bolt.T4(), bolt.ServeOptions{
-		Buckets: []int{1, 2}, CacheFile: engCache, Jobs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Warm(); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	if fi, err := os.Stat(engCache); err != nil || fi.Size() == 0 {
-		t.Errorf("NewEngine cache not persisted through Close: %v", err)
-	}
 }
